@@ -59,6 +59,9 @@ class ProcessContext:
         self.name = name
         self.pid = next(_process_ids)
         self.cpu = cpu if cpu is not None else CpuMeter()
+        # ``ctx.charge(cycles)``, the hook OS code charges CPU through, is
+        # the meter's bound method: one call, rebound by pickle/deepcopy.
+        self.charge = self.cpu.charge
         self.heap = SimHeap()
         self.handles = HandleTable()
         self.sync = SyncRegistry()
@@ -83,10 +86,6 @@ class ProcessContext:
     # ------------------------------------------------------------------
     # Hooks used by the mutable OS API code
     # ------------------------------------------------------------------
-    def charge(self, cycles):
-        """Charge simulated CPU cycles to this process."""
-        self.cpu.charge(cycles)
-
     def set_thread(self, thread_id):
         """Set the identity used for lock ownership (worker dispatch glue)."""
         self.current_thread = thread_id

@@ -218,12 +218,13 @@ class ApiTable:
         base_cost = self.os.build.base_cost(name)
         os_instance = self.os
         ctx = self.ctx
+        charge = ctx.charge
         tracer = os_instance.tracer
 
         if tracer is None:
             def call(*args, **kwargs):
                 ctx.api_calls += 1
-                ctx.charge(base_cost)
+                charge(base_cost)
                 try:
                     return function(ctx, *args, **kwargs)
                 except _PASSTHROUGH:
@@ -242,7 +243,7 @@ class ApiTable:
             def call(*args, **kwargs):
                 record(module_display, name)
                 ctx.api_calls += 1
-                ctx.charge(base_cost)
+                charge(base_cost)
                 try:
                     return function(ctx, *args, **kwargs)
                 except _PASSTHROUGH:

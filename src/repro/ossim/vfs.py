@@ -10,6 +10,7 @@ transfer, or returns a stale buffer produces a detectable content error at
 the client exactly like a corrupted response body would.
 """
 
+import functools
 import hashlib
 
 __all__ = ["SimBuffer", "FileNode", "VirtualFileSystem"]
@@ -21,6 +22,14 @@ def _digest(*parts):
         hasher.update(str(part).encode("utf-8"))
         hasher.update(b"\x00")
     return int.from_bytes(hasher.digest(), "big")
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _fingerprint(content_id, offset, length):
+    """Memoised: a campaign fingerprints a few dozen windows ~10^5
+    times.  ``typed=True`` keeps a mutant's ``1.0`` or ``True`` apart
+    from ``1``, since each has its own ``str()`` and so its own digest."""
+    return _digest(content_id, offset, length)
 
 
 class SimBuffer:
@@ -35,13 +44,13 @@ class SimBuffer:
     @staticmethod
     def for_content(content_id, offset, length):
         """Fingerprint of ``length`` bytes at ``offset`` of ``content_id``."""
-        return SimBuffer(length, _digest(content_id, offset, length))
+        return SimBuffer(length, _fingerprint(content_id, offset, length))
 
     def matches(self, content_id, offset, length):
         """True when this buffer is exactly that slice of that content."""
         return (
             self.length == length
-            and self.fingerprint == _digest(content_id, offset, length)
+            and self.fingerprint == _fingerprint(content_id, offset, length)
         )
 
     def __eq__(self, other):

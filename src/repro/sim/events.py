@@ -2,10 +2,15 @@
 
 A tiny binary-heap priority queue with stable FIFO ordering for events
 scheduled at the same timestamp, plus O(1) cancellation by flagging.
+
+Heap entries are ``(time, sequence, event)`` tuples.  ``heapq`` then
+orders them by tuple comparison in C; the sequence number is unique, so
+two entries never tie and the :class:`Event` objects themselves are
+never compared.
 """
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 
 __all__ = ["Event", "EventQueue"]
 
@@ -13,12 +18,14 @@ __all__ = ["Event", "EventQueue"]
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, sequence)`` so that two events scheduled for
-    the same instant fire in scheduling order — determinism matters more
-    than fairness here.
+    The queue orders events by ``(time, sequence)`` so that two events
+    scheduled for the same instant fire in scheduling order — determinism
+    matters more than fairness here.  ``fired`` is set when the queue
+    hands the event out, so cancelling it afterwards is a no-op.
     """
 
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled",
+                 "fired")
 
     def __init__(self, time, sequence, callback, args):
         self.time = time
@@ -26,13 +33,11 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.fired = False
 
     def cancel(self):
         """Mark the event so the kernel skips it when it is popped."""
         self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.sequence) < (other.time, other.sequence)
 
     def __repr__(self):
         state = " cancelled" if self.cancelled else ""
@@ -41,7 +46,7 @@ class Event:
 
 
 class EventQueue:
-    """Binary heap of :class:`Event` objects with lazy cancellation."""
+    """Binary heap of ``(time, sequence, event)`` with lazy cancellation."""
 
     def __init__(self):
         self._heap = []
@@ -56,32 +61,37 @@ class EventQueue:
 
     def push(self, time, callback, args=()):
         """Schedule ``callback(*args)`` at ``time`` and return the event."""
-        event = Event(time, next(self._counter), callback, args)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback, args)
+        heappush(self._heap, (time, sequence, event))
         self._live += 1
         return event
 
     def pop(self):
         """Remove and return the earliest live event, or None when empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
             if event.cancelled:
                 continue
+            event.fired = True
             self._live -= 1
             return event
         return None
 
     def peek_time(self):
         """Return the timestamp of the next live event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0].time
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2].cancelled:
+                return entry[0]
+            heappop(heap)
         return None
 
     def cancel(self, event):
-        """Cancel an event previously returned by :meth:`push`."""
-        if not event.cancelled:
+        """Cancel an event returned by :meth:`push` (no-op once popped)."""
+        if not event.cancelled and not event.fired:
             event.cancel()
             self._live -= 1
 

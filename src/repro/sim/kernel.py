@@ -79,11 +79,15 @@ class Simulator:
             raise SchedulingError(
                 f"cannot run backwards to t={time:.6f} (now {self.now:.6f})"
             )
+        # Every event still fires through ``step`` (and so through
+        # ``EventQueue.pop``); only the two method lookups are hoisted.
+        peek_time = self.events.peek_time
+        step = self.step
         while True:
-            next_time = self.events.peek_time()
+            next_time = peek_time()
             if next_time is None or next_time > time:
                 break
-            self.step()
+            step()
         self.now = time
 
     def run(self, max_events=None):

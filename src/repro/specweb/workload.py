@@ -7,14 +7,11 @@ its ground-truth expectation so the client can validate the response.
 """
 
 import enum
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
-from repro.specweb.fileset import (
-    CLASS_COUNT,
-    CLASS_WEIGHTS,
-    FILES_PER_CLASS,
-    WITHIN_CLASS_WEIGHTS,
-)
+from repro.specweb.fileset import CLASS_WEIGHTS, WITHIN_CLASS_WEIGHTS
 from repro.webservers.http import HttpRequest
 
 __all__ = ["OperationKind", "PlannedOperation", "WorkloadGenerator"]
@@ -56,15 +53,20 @@ class WorkloadGenerator:
     Deterministic per (seed, connection): each connection owns a substream
     so the sequence of operations it issues never depends on other
     connections' progress.
+
+    Every weighted pick draws exactly what ``rng.choices(population,
+    weights=w)[0]`` would: one ``random()`` call, bisected into the
+    cumulative weights with the same float total.  The cumulative weights
+    are computed once here instead of on every draw.
     """
 
     def __init__(self, fileset, rng):
         self.fileset = fileset
         self.rng = rng
         self._kinds = [kind for kind, _weight in OPERATION_MIX]
-        self._kind_weights = [weight for _kind, weight in OPERATION_MIX]
-        self._class_indices = list(range(CLASS_COUNT))
-        self._file_indices = list(range(FILES_PER_CLASS))
+        self._kind_cum = _cumulative(w for _kind, w in OPERATION_MIX)
+        self._class_cum = _cumulative(CLASS_WEIGHTS)
+        self._file_cum = _cumulative(WITHIN_CLASS_WEIGHTS)
 
     def for_connection(self, connection_id):
         """A generator bound to one connection's random substream."""
@@ -75,20 +77,20 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     # Drawing
     # ------------------------------------------------------------------
+    def _pick(self, cumulative):
+        """Index of one weighted draw (``random.choices`` with ``k=1``)."""
+        cum, total, hi = cumulative
+        return bisect(cum, self.rng.random() * total, 0, hi)
+
     def _draw_file(self):
-        class_index = self.rng.choices(
-            self._class_indices, weights=CLASS_WEIGHTS
-        )[0]
-        file_index = self.rng.choices(
-            self._file_indices, weights=WITHIN_CLASS_WEIGHTS
-        )[0]
+        class_index = self._pick(self._class_cum)
+        file_index = self._pick(self._file_cum)
         dir_index = self.rng.randint(0, self.fileset.directories - 1)
         return self.fileset.url_path(dir_index, class_index, file_index)
 
     def next_operation(self, connection_id=0, request_id=0):
         """Generate the next :class:`PlannedOperation`."""
-        kind = self.rng.choices(self._kinds,
-                                weights=self._kind_weights)[0]
+        kind = self._kinds[self._pick(self._kind_cum)]
         if kind == OperationKind.POST:
             request = HttpRequest(
                 "POST",
@@ -123,3 +125,9 @@ class WorkloadGenerator:
             expected_size=entry.size,
             expected_content_id=entry.content_id,
         )
+
+
+def _cumulative(weights):
+    """``(cumulative weights, float total, last index)`` for :meth:`_pick`."""
+    cum = list(accumulate(weights))
+    return cum, cum[-1] + 0.0, len(cum) - 1

@@ -605,16 +605,53 @@ def _spawn_daemon(home):
         part for part in (str(repo / "src"), env.get("PYTHONPATH"))
         if part
     )
+    # Its own session, so the daemon and its pool children form one
+    # process group that _kill_daemon_group can kill as a whole.
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--home", str(home), "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        cwd=repo, env=env,
+        cwd=repo, env=env, start_new_session=True,
     )
     line = process.stdout.readline()
     match = re.search(r"http://[\d.]+:(\d+)", line)
     assert match, f"no listening line, got {line!r}"
     return process, int(match.group(1))
+
+
+def _group_survivors(pgid):
+    """Live (non-zombie) processes of process group ``pgid``."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    survivors = []
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            # The command name is parenthesised and may hold spaces; the
+            # state and the process group follow it.
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            survivors.append(int(stat.parent.name))
+    return survivors
+
+
+def _kill_daemon_group(process):
+    """SIGKILL the daemon and every process of its group, then check
+    that none survives (orphaned pool children included)."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(10)
+    process.stdout.close()
+    _await(lambda: not _group_survivors(process.pid), deadline=10.0,
+           message=f"daemon process group {process.pid} to die")
 
 
 @pytest.mark.slow
@@ -630,9 +667,7 @@ def test_chaos_sigkill_mid_campaign_recovers_identical_digest(
         _await(lambda: journal.exists() and _journal_units(journal),
                deadline=60.0, message="first shard before the kill")
     finally:
-        if process.poll() is None:
-            os.kill(process.pid, signal.SIGKILL)
-        process.wait(10)
+        _kill_daemon_group(process)
     pre = _journal_units(journal)
     queue_states = [
         json.loads(line)
@@ -663,5 +698,4 @@ def test_chaos_sigkill_mid_campaign_recovers_identical_digest(
             status["metrics_digest"]
         assert _http(port, "POST", "/drain", {})[0] == 202
     finally:
-        process.terminate()
-        process.wait(10)
+        _kill_daemon_group(process)

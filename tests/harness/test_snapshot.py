@@ -300,3 +300,28 @@ def test_snapshot_cache_lru_eviction_and_counters():
     cache.clear()
     assert len(cache) == 0
     assert (cache.hits, cache.misses) == (0, 0)
+
+
+def test_restored_context_charges_its_own_meter():
+    config = smoke_config()
+    machine = ServerMachine(config, iteration=1)
+    assert machine.boot()
+    machine.client.start()
+    machine.run_for(config.rules.warmup_seconds)
+    ctx = machine.runtime.ctx
+    snapshot = MachineSnapshot.capture(snapshot_key(config, 1), machine)
+    restored, _auditor = snapshot.restore()
+    clone = restored.runtime.ctx
+    assert clone.cpu is not ctx.cpu
+    assert clone.charge.__self__ is clone.cpu
+
+    before = ctx.cpu.total_cycles
+    clone_before = clone.cpu.total_cycles
+    assert clone_before == before
+    clone.charge(1000)
+    assert clone.cpu.total_cycles == clone_before + 1000
+    # The API table rebuilds its wrappers against the restored context.
+    assert clone.api.ctx is clone
+    clone.api.GetLastError()
+    assert clone.cpu.total_cycles > clone_before + 1000
+    assert ctx.cpu.total_cycles == before

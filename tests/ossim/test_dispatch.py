@@ -1,5 +1,7 @@
 """Tests for the API dispatcher (tracing, charging, fault semantics)."""
 
+import copy
+
 import pytest
 
 from repro.ossim.builds import NT50
@@ -160,3 +162,26 @@ def test_boot_count_increments():
     OsInstance(NT50, kernel)
     OsInstance(NT50, kernel)
     assert kernel.boot_count == 2
+
+
+def test_charge_is_the_meters_bound_method(osi):
+    ctx = osi.new_process()
+    assert ctx.charge.__self__ is ctx.cpu
+    ctx.charge(-5)  # clamped, never negative time
+    ctx.charge(2.9)  # truncated like the meter's own charge
+    assert ctx.cpu.total_cycles == 2
+
+
+def test_deepcopied_context_charges_its_own_meter(osi):
+    ctx = osi.new_process()
+    ctx.api.GetLastError()  # build (and cache) a wrapper before copying
+    clone = copy.deepcopy(ctx)
+    assert clone.cpu is not ctx.cpu
+    assert clone.charge.__self__ is clone.cpu
+    before = ctx.cpu.total_cycles
+    clone.charge(1000)
+    clone.api.GetLastError()
+    assert ctx.cpu.total_cycles == before
+    assert clone.cpu.total_cycles >= before + 1000 + NT50.base_cost(
+        "GetLastError")
+    assert clone.api.ctx is clone
