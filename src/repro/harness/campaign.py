@@ -44,7 +44,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -56,7 +56,12 @@ from repro.gswfit.cache import (
 )
 from repro.harness.experiment import WebServerExperiment, profile_servers
 from repro.harness.jsonl import read_jsonl
-from repro.harness.results import BenchmarkResult, InjectionIteration
+from repro.harness.results import (
+    BenchmarkResult,
+    InjectionIteration,
+    SlotAccounting,
+    merge,
+)
 from repro.harness.sequential import (
     SequentialController,
     plan_sequential_strata,
@@ -161,37 +166,13 @@ def plan_shards(faultload, slots_per_shard):
 # Worker side
 # ----------------------------------------------------------------------
 @dataclass
-class ShardOutcome:
+class ShardOutcome(SlotAccounting):
     """What one shard contributes to an iteration's merged result."""
 
     shard_index: int
     first_slot: int
     num_slots: int
     partial: MetricsPartial
-    mis: int
-    kns: int
-    kcp: int
-    faults_injected: int
-    runtime_stats: dict
-    incidents: list = field(default_factory=list)
-    # Integrity protocol: slot-global contamination records and the
-    # shard's verified-reboot log (see SlotRunResult).
-    contaminated_slots: list = field(default_factory=list)
-    reboots: list = field(default_factory=list)
-    integrity_enabled: bool = False
-    # Activation telemetry (journal v4): per-slot probe records in
-    # shard-local slot order, plus the shard's totals.
-    activations: list = field(default_factory=list)
-    faults_activated: int = 0
-    slots_truncated: int = 0
-    truncated_seconds: float = 0.0
-    activation_enabled: bool = False
-    # Epoch-setup accounting (journal v5): how the shard's machine
-    # epochs came up.  Diagnostic — never part of the metrics digest.
-    epochs_booted: int = 0
-    epochs_restored: int = 0
-    pristine_restarts: int = 0
-    snapshot_enabled: bool = False
 
     def to_dict(self):
         data = asdict(self)
@@ -200,21 +181,13 @@ class ShardOutcome:
 
     @classmethod
     def from_dict(cls, data):
+        # Every field must be present: a record missing one is not
+        # today's schema, and the journal reruns its unit.
+        missing = [spec.name for spec in fields(cls) if spec.name not in data]
+        if missing:
+            raise KeyError(f"shard record lacks {', '.join(missing)}")
         data = dict(data)
         data["partial"] = MetricsPartial.from_dict(data["partial"])
-        data.setdefault("incidents", [])
-        data.setdefault("contaminated_slots", [])
-        data.setdefault("reboots", [])
-        data.setdefault("integrity_enabled", False)
-        data.setdefault("activations", [])
-        data.setdefault("faults_activated", 0)
-        data.setdefault("slots_truncated", 0)
-        data.setdefault("truncated_seconds", 0.0)
-        data.setdefault("activation_enabled", False)
-        data.setdefault("epochs_booted", 0)
-        data.setdefault("epochs_restored", 0)
-        data.setdefault("pristine_restarts", 0)
-        data.setdefault("snapshot_enabled", False)
         return cls(**data)
 
 
@@ -285,30 +258,12 @@ def run_shard(config, iteration, shard, mutant_cache_dir=None):
         mutant_cache_dir=mutant_cache_dir,
         first_slot=shard.first_slot,
     )
-    partial = run.compute_partial(config.conformance_slots)
     return ShardOutcome(
         shard_index=shard.index,
         first_slot=shard.first_slot,
         num_slots=len(shard.locations),
-        partial=partial,
-        mis=run.mis,
-        kns=run.kns,
-        kcp=run.kcp,
-        faults_injected=run.faults_injected,
-        runtime_stats=dict(run.runtime_stats),
-        incidents=list(run.incidents),
-        contaminated_slots=list(run.contaminated_slots),
-        reboots=list(run.reboots),
-        integrity_enabled=run.integrity_enabled,
-        activations=list(run.activations),
-        faults_activated=run.faults_activated,
-        slots_truncated=run.slots_truncated,
-        truncated_seconds=run.truncated_seconds,
-        activation_enabled=run.activation_enabled,
-        epochs_booted=run.epochs_booted,
-        epochs_restored=run.epochs_restored,
-        pristine_restarts=run.pristine_restarts,
-        snapshot_enabled=run.snapshot_enabled,
+        partial=run.compute_partial(config.conformance_slots),
+        **merge([run]),
     )
 
 
@@ -325,80 +280,10 @@ def merge_outcomes(outcomes, iteration, num_connections):
     partial = MetricsPartial.merge(
         outcome.partial for outcome in ordered
     )
-    runtime_stats = {}
-    for outcome in ordered:
-        for key, value in outcome.runtime_stats.items():
-            runtime_stats[key] = runtime_stats.get(key, 0) + value
-    # Key order must not depend on whether an outcome came from a live
-    # worker or a journal replay (JSON round-trips sort keys), or the
-    # exported campaign.json would differ byte-wise between the two.
-    runtime_stats = dict(sorted(runtime_stats.items()))
-
-    def _records(attribute):
-        # Same byte-level concern as runtime_stats above: records from
-        # a live shard carry insertion key order, records replayed from
-        # the journal come back with sort_keys order — normalize so a
-        # resumed run's campaign.json is byte-identical to a live one's.
-        return [
-            dict(sorted(record.items())) if isinstance(record, dict)
-            else record
-            for outcome in ordered
-            for record in getattr(outcome, attribute, ()) or ()
-        ]
-
-    incidents = [
-        incident
-        for outcome in ordered
-        for incident in outcome.incidents
-    ]
-    contaminated = _records("contaminated_slots")
-    reboots = _records("reboots")
-    activations = _records("activations")
     return InjectionIteration(
         iteration=iteration,
         metrics=partial.to_metrics(num_connections),
-        mis=sum(outcome.mis for outcome in ordered),
-        kns=sum(outcome.kns for outcome in ordered),
-        kcp=sum(outcome.kcp for outcome in ordered),
-        faults_injected=sum(
-            outcome.faults_injected for outcome in ordered
-        ),
-        runtime_stats=runtime_stats,
-        incidents=incidents,
-        contaminated_slots=contaminated,
-        reboots=reboots,
-        integrity_enabled=any(
-            getattr(outcome, "integrity_enabled", False)
-            for outcome in ordered
-        ),
-        activations=activations,
-        faults_activated=sum(
-            getattr(outcome, "faults_activated", 0) for outcome in ordered
-        ),
-        slots_truncated=sum(
-            getattr(outcome, "slots_truncated", 0) for outcome in ordered
-        ),
-        truncated_seconds=round(sum(
-            getattr(outcome, "truncated_seconds", 0.0)
-            for outcome in ordered
-        ), 6),
-        activation_enabled=any(
-            getattr(outcome, "activation_enabled", False)
-            for outcome in ordered
-        ),
-        epochs_booted=sum(
-            getattr(outcome, "epochs_booted", 0) for outcome in ordered
-        ),
-        epochs_restored=sum(
-            getattr(outcome, "epochs_restored", 0) for outcome in ordered
-        ),
-        pristine_restarts=sum(
-            getattr(outcome, "pristine_restarts", 0) for outcome in ordered
-        ),
-        snapshot_enabled=any(
-            getattr(outcome, "snapshot_enabled", False)
-            for outcome in ordered
-        ),
+        **merge(ordered),
     )
 
 
@@ -1064,9 +949,7 @@ class ParallelCampaign:
         result.quarantine = supervision["quarantined"]
         result.degraded = bool(result.quarantine)
         supervision["degraded"] = result.degraded
-        integrity = self._integrity_summary(result)
-        activation = self._activation_summary(result)
-        snapshot = self._snapshot_summary(result)
+        integrity, activation, snapshot = self._accounting_summaries(result)
         sequential = self._sequential_summary(sequential_iterations, strata)
         result.sequential = sequential
         digest = metrics_digest(result)
@@ -1113,82 +996,56 @@ class ParallelCampaign:
         telemetry.close()
         return result
 
-    def _activation_summary(self, result):
-        """Campaign-wide activation accounting for the manifest."""
-        enabled = any(
-            iteration.activation_enabled for iteration in result.iterations
-        )
-        injected = sum(
-            iteration.faults_injected for iteration in result.iterations
-        )
-        activated = sum(
-            iteration.faults_activated for iteration in result.iterations
-        )
-        truncated = sum(
-            iteration.slots_truncated for iteration in result.iterations
-        )
-        saved = round(sum(
-            iteration.truncated_seconds for iteration in result.iterations
-        ), 6)
-        rate = None
-        if enabled and injected:
-            rate = round(activated / injected, 6)
-        return {
-            "enabled": enabled,
-            "adaptive": bool(self.config.adaptive_slots),
-            "faults_injected": injected,
-            "faults_activated": activated,
-            "activation_rate": rate,
-            "slots_truncated": truncated,
-            "sim_seconds_saved": saved,
-            "deadline_functions": len(self.config.activation_deadlines or {}),
-        }
-
-    def _snapshot_summary(self, result):
-        """Campaign-wide epoch-setup accounting for the manifest."""
-        booted = sum(
-            iteration.epochs_booted for iteration in result.iterations
-        )
-        restored = sum(
-            iteration.epochs_restored for iteration in result.iterations
-        )
-        restarts = sum(
-            iteration.pristine_restarts for iteration in result.iterations
-        )
-        total = booted + restored
-        return {
-            "enabled": bool(self.config.snapshot_epochs),
-            "pristine_slots": bool(self.config.pristine_slots),
-            "epochs_booted": booted,
-            "epochs_restored": restored,
-            "pristine_restarts": restarts,
-            "restore_rate": round(restored / total, 6) if total else None,
-        }
-
-    def _integrity_summary(self, result):
-        """Campaign-wide contamination accounting for the manifest."""
-        contaminated = 0
-        reboots = 0
-        unrebooted = 0
-        unverified_reboots = 0
+    def _accounting_summaries(self, result):
+        """The manifest's integrity, activation and snapshot blocks:
+        campaign-wide totals of the merged accounting fields, plus the
+        few values derived from them."""
+        config = self.config
+        totals = merge(result.iterations)
+        contaminated = totals["contaminated_slots"]
         kinds = {}
-        for iteration in result.iterations:
-            contaminated += len(iteration.contaminated_slots)
-            reboots += len(iteration.reboots)
-            for record in iteration.contaminated_slots:
-                if not record.get("rebooted"):
-                    unrebooted += 1
-                for kind in record.get("kinds", []):
-                    kinds[kind] = kinds.get(kind, 0) + 1
-            for record in iteration.reboots:
-                if not record.get("verified"):
-                    unverified_reboots += 1
-        return {
-            "enabled": bool(self.config.integrity_audit),
-            "reboot_budget": self.config.reboot_budget,
-            "contaminated_slots": contaminated,
-            "reboots": reboots,
-            "unrebooted_contamination": unrebooted,
-            "unverified_reboots": unverified_reboots,
+        for record in contaminated:
+            for kind in record.get("kinds", []):
+                kinds[kind] = kinds.get(kind, 0) + 1
+        integrity = {
+            "enabled": bool(config.integrity_audit),
+            "reboot_budget": config.reboot_budget,
+            "contaminated_slots": len(contaminated),
+            "reboots": len(totals["reboots"]),
+            "unrebooted_contamination": sum(
+                1 for record in contaminated if not record.get("rebooted")
+            ),
+            "unverified_reboots": sum(
+                1 for record in totals["reboots"]
+                if not record.get("verified")
+            ),
             "violation_kinds": dict(sorted(kinds.items())),
         }
+        injected = totals["faults_injected"]
+        activated = totals["faults_activated"]
+        enabled = totals["activation_enabled"]
+        activation = {
+            "enabled": enabled,
+            "adaptive": bool(config.adaptive_slots),
+            "faults_injected": injected,
+            "faults_activated": activated,
+            "activation_rate": (
+                round(activated / injected, 6)
+                if enabled and injected else None
+            ),
+            "slots_truncated": totals["slots_truncated"],
+            "sim_seconds_saved": totals["truncated_seconds"],
+            "deadline_functions": len(config.activation_deadlines or {}),
+        }
+        booted = totals["epochs_booted"]
+        restored = totals["epochs_restored"]
+        epochs = booted + restored
+        snapshot = {
+            "enabled": bool(config.snapshot_epochs),
+            "pristine_slots": bool(config.pristine_slots),
+            "epochs_booted": booted,
+            "epochs_restored": restored,
+            "pristine_restarts": totals["pristine_restarts"],
+            "restore_rate": round(restored / epochs, 6) if epochs else None,
+        }
+        return integrity, activation, snapshot

@@ -24,7 +24,12 @@ from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import MutantError
 from repro.gswfit.scanner import scan_build
 from repro.harness.machine import ServerMachine
-from repro.harness.results import BenchmarkResult, InjectionIteration
+from repro.harness.results import (
+    BenchmarkResult,
+    InjectionIteration,
+    SlotAccounting,
+    merge,
+)
 from repro.harness.snapshot import (
     MachineSnapshot,
     snapshot_cache,
@@ -41,46 +46,19 @@ __all__ = ["SlotRunResult", "WebServerExperiment", "profile_servers"]
 
 
 @dataclass
-class SlotRunResult:
+class SlotRunResult(SlotAccounting):
     """Everything one slot walk produced, across machine epochs.
 
     A verified reboot splits the run into *segments* — each a
     ``(machine, windows)`` pair on its own simulated timeline.  Metrics
     merge across segments through :class:`MetricsPartial` (associative,
     slot-ordered), so a run with reboots reduces exactly like a
-    campaign merging shards.
+    campaign merging shards.  The accounting fields are folded in as
+    the slots run; per-slot records carry campaign-global slot indices.
     """
 
     segments: list = field(default_factory=list)
-    faults_injected: int = 0
-    mis: int = 0
-    kns: int = 0
-    kcp: int = 0
-    incidents: list = field(default_factory=list)
-    runtime_stats: dict = field(default_factory=dict)
-    # One record per slot whose post-removal audit found violations:
-    # {"slot", "fault_id", "kinds", "violations", "rebooted"}.
-    contaminated_slots: list = field(default_factory=list)
-    # One record per verified reboot: {"after_slot", "verified"}.
-    reboots: list = field(default_factory=list)
-    integrity_enabled: bool = False
     audits_performed: int = 0
-    # One record per injected slot when activation tracking is on:
-    # {"slot", "fault_id", "hits", "first_hit", "truncated"} —
-    # ``first_hit`` is sim-seconds from slot start (None if never hit).
-    activations: list = field(default_factory=list)
-    faults_activated: int = 0
-    slots_truncated: int = 0
-    truncated_seconds: float = 0.0
-    activation_enabled: bool = False
-    # Epoch-setup accounting (DESIGN.md §12): how each machine epoch
-    # came up.  Diagnostic only — restored and booted epochs are
-    # digest-identical by construction, so none of these may ever enter
-    # the metrics digest.
-    epochs_booted: int = 0
-    epochs_restored: int = 0
-    pristine_restarts: int = 0
-    snapshot_enabled: bool = False
 
     def compute_partial(self, conformance_group):
         """Reduce every segment's windows to one mergeable partial."""
@@ -581,26 +559,7 @@ class WebServerExperiment:
             self.config.client.connections, self.config.conformance_slots
         )
         return InjectionIteration(
-            iteration=iteration,
-            metrics=metrics,
-            mis=run.mis,
-            kns=run.kns,
-            kcp=run.kcp,
-            faults_injected=run.faults_injected,
-            runtime_stats=dict(run.runtime_stats),
-            incidents=list(run.incidents),
-            contaminated_slots=list(run.contaminated_slots),
-            reboots=list(run.reboots),
-            integrity_enabled=run.integrity_enabled,
-            activations=list(run.activations),
-            faults_activated=run.faults_activated,
-            slots_truncated=run.slots_truncated,
-            truncated_seconds=run.truncated_seconds,
-            activation_enabled=run.activation_enabled,
-            epochs_booted=run.epochs_booted,
-            epochs_restored=run.epochs_restored,
-            pristine_restarts=run.pristine_restarts,
-            snapshot_enabled=run.snapshot_enabled,
+            iteration=iteration, metrics=metrics, **merge([run])
         )
 
     # ------------------------------------------------------------------

@@ -1,55 +1,123 @@
 """Result records for benchmark campaigns."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.specweb.metrics import SpecWebMetrics
 
 __all__ = [
+    "ACCOUNTING_FIELDS",
+    "DIGEST_FIELDS",
     "BenchmarkResult",
     "InjectionIteration",
+    "SlotAccounting",
     "average_iterations",
+    "merge",
 ]
 
 
-@dataclass
-class InjectionIteration:
-    """One full pass over the faultload (one of the paper's iterations)."""
+def _sum_seconds(values):
+    # One rounding rule wherever seconds are totalled: a shard, a serial
+    # iteration and a merged campaign iteration all round the same way.
+    return round(sum(values), 6)
 
-    iteration: int
-    metrics: SpecWebMetrics
-    mis: int
-    kns: int
-    kcp: int
-    faults_injected: int
-    runtime_stats: dict = field(default_factory=dict)
-    # Per-incident ADMf detail from the watchdog: {"t": sim_time,
-    # "kind": "MIS"|"KNS"|"KCP"|"RESTART_EXHAUSTED"}, ordered by slot
-    # then sim time.
-    incidents: list = field(default_factory=list)
+
+def _sum_keywise(values):
+    totals = {}
+    for stats in values:
+        for key, value in stats.items():
+            totals[key] = totals.get(key, 0) + value
+    # Sorted, so key order never depends on whether a record came from a
+    # live run or a journal replay (JSON round-trips sort keys).
+    return dict(sorted(totals.items()))
+
+
+def _concat(values):
+    # Records in slot order, each key-sorted for the same byte-level
+    # reason as ``_sum_keywise``.
+    return [
+        dict(sorted(record.items()))
+        for records in values
+        for record in records
+    ]
+
+
+def _accounting(reduce, *, digest=True, **default):
+    return field(**default, metadata={"reduce": reduce, "digest": digest})
+
+
+@dataclass(kw_only=True)
+class SlotAccounting:
+    """The per-slot facts a slot walk, a shard and an iteration all carry.
+
+    Declared once; each field names its reduction (how records fold in
+    slot order, see :func:`merge`) and whether :func:`metrics_digest`
+    covers it.  The table in DESIGN.md §10 lists them.
+    """
+
+    # Paper Table 5: administrator interventions and injected faults.
+    mis: int = _accounting(sum, default=0)
+    kns: int = _accounting(sum, default=0)
+    kcp: int = _accounting(sum, default=0)
+    faults_injected: int = _accounting(sum, default=0)
+    runtime_stats: dict = _accounting(_sum_keywise, default_factory=dict)
+    # Per-incident ADMf detail from the watchdog: {"kind", "t"} with
+    # kind MIS|KNS|KCP|RESTART_EXHAUSTED, ordered by slot then sim time.
+    incidents: list = _accounting(_concat, default_factory=list)
     # Integrity protocol (DESIGN.md §10): per-slot contamination records
     # ({"slot", "fault_id", "kinds", "violations", "rebooted"}), the
     # verified-reboot log ({"after_slot", "verified"}), and whether
     # auditing ran at all (False = RES is unknowable, not zero).
-    contaminated_slots: list = field(default_factory=list)
-    reboots: list = field(default_factory=list)
-    integrity_enabled: bool = False
+    contaminated_slots: list = _accounting(_concat, default_factory=list)
+    reboots: list = _accounting(_concat, default_factory=list)
+    integrity_enabled: bool = _accounting(any, default=False)
     # Activation telemetry (DESIGN.md §11): per-slot probe records
-    # ({"slot", "fault_id", "hits", "first_hit", "truncated"}, slot
-    # order), the activated/truncated totals, and whether tracking ran
-    # at all (False = ACT% is unknowable, not zero).
-    activations: list = field(default_factory=list)
-    faults_activated: int = 0
-    slots_truncated: int = 0
-    truncated_seconds: float = 0.0
-    activation_enabled: bool = False
-    # Epoch-setup accounting (DESIGN.md §12): machine epochs that came
-    # up via full boot vs snapshot restore, and the count of per-slot
-    # pristine restarts.  Diagnostic — deliberately excluded from the
-    # metrics digest, which must be identical either way.
-    epochs_booted: int = 0
-    epochs_restored: int = 0
-    pristine_restarts: int = 0
-    snapshot_enabled: bool = False
+    # ({"slot", "fault_id", "hits", "first_hit", "truncated"}, with
+    # first_hit in sim-seconds from slot start, None if never hit), the
+    # activated/truncated totals, and whether tracking ran at all
+    # (False = ACT% is unknowable, not zero).
+    activations: list = _accounting(_concat, default_factory=list)
+    faults_activated: int = _accounting(sum, default=0)
+    slots_truncated: int = _accounting(sum, default=0)
+    truncated_seconds: float = _accounting(_sum_seconds, default=0.0)
+    activation_enabled: bool = _accounting(any, default=False)
+    # Epoch-setup accounting (DESIGN.md §12): epochs booted vs restored
+    # from a snapshot, and per-slot pristine restarts.  Diagnostic:
+    # restored and booted epochs are digest-identical by construction,
+    # so none of these may ever enter the metrics digest.
+    epochs_booted: int = _accounting(sum, digest=False, default=0)
+    epochs_restored: int = _accounting(sum, digest=False, default=0)
+    pristine_restarts: int = _accounting(sum, digest=False, default=0)
+    snapshot_enabled: bool = _accounting(any, digest=False, default=False)
+
+
+ACCOUNTING_FIELDS = fields(SlotAccounting)
+DIGEST_FIELDS = tuple(
+    spec.name for spec in ACCOUNTING_FIELDS if spec.metadata["digest"]
+)
+
+
+def merge(records):
+    """Fold accounting records, given in slot order, into field values.
+
+    Returns a ``{field: value}`` dict, ready to construct any
+    :class:`SlotAccounting` subclass.  Its lists, dicts and records are
+    fresh copies, so the result never aliases an input's.
+    """
+    records = list(records)
+    return {
+        spec.name: spec.metadata["reduce"](
+            [getattr(record, spec.name) for record in records]
+        )
+        for spec in ACCOUNTING_FIELDS
+    }
+
+
+@dataclass
+class InjectionIteration(SlotAccounting):
+    """One full pass over the faultload (one of the paper's iterations)."""
+
+    iteration: int
+    metrics: SpecWebMetrics
 
     @property
     def admf(self):

@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.harness.jsonl import read_jsonl
+from repro.harness.results import DIGEST_FIELDS
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -140,8 +141,10 @@ def metrics_digest(result):
     """SHA-256 over the deterministic content of a campaign result.
 
     Covers exactly the fields that are pure functions of
-    ``(config, seed, faultload)`` — metrics, ADMf counters, runtime
-    stats, watchdog incidents — and nothing that varies run to run
+    ``(config, seed, faultload)`` — the metrics and every accounting
+    field declared digest-covered (``DIGEST_FIELDS``: ADMf counters,
+    runtime stats, incidents, integrity and activation records) — and
+    nothing that varies run to run
     (wall timings, retry counts, host facts).  ``workers=N`` and
     ``workers=1`` therefore hash identically, which is the property the
     determinism CI gate enforces byte-for-byte.
@@ -153,35 +156,7 @@ def metrics_digest(result):
             {
                 "iteration": iteration.iteration,
                 "metrics": _metrics_dict(iteration.metrics),
-                "mis": iteration.mis,
-                "kns": iteration.kns,
-                "kcp": iteration.kcp,
-                "faults_injected": iteration.faults_injected,
-                "runtime_stats": iteration.runtime_stats,
-                "incidents": iteration.incidents,
-                "contaminated_slots": getattr(
-                    iteration, "contaminated_slots", []
-                ),
-                "reboots": getattr(iteration, "reboots", []),
-                "integrity_enabled": getattr(
-                    iteration, "integrity_enabled", False
-                ),
-                # Activation telemetry is deterministic by construction:
-                # hit counts are pure workload facts and first-hit
-                # timestamps are sim-time relative to slot start.
-                "activations": getattr(iteration, "activations", []),
-                "faults_activated": getattr(
-                    iteration, "faults_activated", 0
-                ),
-                "slots_truncated": getattr(
-                    iteration, "slots_truncated", 0
-                ),
-                "truncated_seconds": getattr(
-                    iteration, "truncated_seconds", 0.0
-                ),
-                "activation_enabled": getattr(
-                    iteration, "activation_enabled", False
-                ),
+                **{name: getattr(iteration, name) for name in DIGEST_FIELDS},
             }
             for iteration in result.iterations
         ],

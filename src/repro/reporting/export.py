@@ -14,6 +14,7 @@ import shutil
 from pathlib import Path
 
 from repro.harness.metrics import DependabilityMetrics
+from repro.harness.results import DIGEST_FIELDS
 from repro.reporting.tables import TableBuilder
 
 __all__ = [
@@ -21,6 +22,10 @@ __all__ = [
     "export_faultload_summary",
     "load_campaign_report",
 ]
+
+
+# Accounting fields already shown in the Table 5 ``row``.
+_ROW_FIELDS = ("mis", "kns", "kcp")
 
 
 def _metrics_dict(metrics):
@@ -61,17 +66,10 @@ def export_campaign(result, directory, config=None, manifest=None,
             {
                 "iteration": iteration.iteration,
                 "row": iteration.as_row(),
-                "faults_injected": iteration.faults_injected,
-                "runtime_stats": iteration.runtime_stats,
-                "incidents": iteration.incidents,
-                "contaminated_slots": iteration.contaminated_slots,
-                "reboots": iteration.reboots,
-                "integrity_enabled": iteration.integrity_enabled,
-                "activations": iteration.activations,
-                "faults_activated": iteration.faults_activated,
-                "slots_truncated": iteration.slots_truncated,
-                "truncated_seconds": iteration.truncated_seconds,
-                "activation_enabled": iteration.activation_enabled,
+                **{
+                    name: getattr(iteration, name)
+                    for name in DIGEST_FIELDS if name not in _ROW_FIELDS
+                },
             }
             for iteration in result.iterations
         ],

@@ -81,31 +81,43 @@ def test_resume_still_rejects_foreign_campaign(tmp_path):
         _run(tmp_path, "seed", resume=True)
 
 
+# Ways a fragment can fail today's shard-record schema.  A missing
+# accounting field must not be back-filled with a default: the record
+# would merge as if that slot had (say) activated nothing.
+UNREADABLE_SHARD_RECORDS = {
+    "future-partial": lambda outcome: outcome.update(
+        partial={"schema": "from-the-future"}
+    ),
+    "missing-field": lambda outcome: outcome.pop("faults_activated"),
+    "unknown-field": lambda outcome: outcome.update(from_the_future=1),
+}
+
+
 def test_unreadable_shard_record_reruns_that_unit(tmp_path):
     """A single fragment today's schema cannot rebuild (e.g. written by
     a skewed fabric worker) drops only that unit; intact neighbours
     still replay."""
-    campaign = _run(tmp_path, "seed")
-    journal_path = campaign.journal_path
-    intact = CampaignJournal.load(journal_path)
+    reference = _run(tmp_path, "reference").manifest.metrics_digest
+    lines = _run(tmp_path, "seed").journal_path.read_text().splitlines()
+    intact = CampaignJournal.load(tmp_path / "seed" / "journal.jsonl")
     assert len(intact.shards) >= 2
-    lines = journal_path.read_text().splitlines()
-    mangled = []
-    broke = False
-    for line in lines:
-        entry = json.loads(line)
-        if not broke and entry.get("kind") == "shard":
-            # An unknown-schema fragment: the partial is unreadable.
-            entry["outcome"]["partial"] = {"schema": "from-the-future"}
-            line = json.dumps(entry, sort_keys=True)
-            broke = True
-        mangled.append(line)
-    journal_path.write_text("\n".join(mangled) + "\n")
-    with pytest.warns(RuntimeWarning, match="unreadable shard record"):
-        journal = CampaignJournal.load(journal_path)
-    assert len(journal.shards) == len(intact.shards) - 1
-    # And the campaign heals it on resume, landing on the same digest.
-    resumed = _run(tmp_path, "seed", resume=True)
-    reference = _run(tmp_path, "reference")
-    assert (resumed.manifest.metrics_digest
-            == reference.manifest.metrics_digest)
+    for name, mangle in UNREADABLE_SHARD_RECORDS.items():
+        mangled = []
+        broke = False
+        for line in lines:
+            entry = json.loads(line)
+            if not broke and entry.get("kind") == "shard":
+                mangle(entry["outcome"])
+                line = json.dumps(entry, sort_keys=True)
+                broke = True
+            mangled.append(line)
+        journal_path = tmp_path / name / "journal.jsonl"
+        journal_path.parent.mkdir()
+        journal_path.write_text("\n".join(mangled) + "\n")
+        with pytest.warns(RuntimeWarning, match="unreadable shard record"):
+            journal = CampaignJournal.load(journal_path)
+        assert len(journal.shards) == len(intact.shards) - 1, name
+        # And the campaign heals it on resume, landing on the same digest.
+        with pytest.warns(RuntimeWarning, match="unreadable shard record"):
+            resumed = _run(tmp_path, name, resume=True)
+        assert resumed.manifest.metrics_digest == reference, name
