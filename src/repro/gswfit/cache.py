@@ -25,16 +25,24 @@ The scan cache key is ``(build codename, library fingerprint,
 include_internal)``; the mutant cache key is ``(source fingerprint,
 fault_id, probed)`` where the source fingerprint hashes the target
 function's current source plus the operator's implementation and
-``probed`` distinguishes activation-instrumented variants.  Fingerprints hash
-the source they depend on, so editing it invalidates the cache
-automatically — stale entries are simply never looked up again (their
-key no longer matches) and can be garbage-collected at leisure.
+``probed`` distinguishes activation-instrumented variants.  An
+operator's implementation is its own payload (class source or spec
+JSON) plus the source of every module that defines operator behaviour
+(:data:`OPERATOR_CODE_MODULES`): the helpers, constants and DSL rule
+vocabulary an operator calls live outside its class body or spec.
+Fingerprints hash the source they depend on, so editing it invalidates
+the cache automatically — stale entries are simply never looked up
+again (their key no longer matches) and can be garbage-collected at
+leisure.
 """
 
+import functools
 import hashlib
+import importlib
 import inspect
 import marshal
 import os
+import pkgutil
 import sys
 import types
 from pathlib import Path
@@ -50,6 +58,7 @@ from repro.gswfit.scanner import scan_build
 
 __all__ = [
     "MUTANT_CACHE_STATS",
+    "OPERATOR_CODE_MODULES",
     "build_mutant_cached",
     "cache_key",
     "cache_path",
@@ -65,6 +74,41 @@ __all__ = [
 _memory_cache = {}
 _fingerprint_cache = {}
 
+#: Modules whose source defines operator behaviour besides the
+#: ``repro.gswfit.operators`` package itself (all of whose modules
+#: count): the DSL compiler, its predicate and mutation-rule
+#: vocabularies, and the AST helpers every operator shares.
+OPERATOR_CODE_MODULES = (
+    "repro.gswfit.astutils",
+    "repro.gswfit.dsl.compile",
+    "repro.gswfit.dsl.mutations",
+    "repro.gswfit.dsl.predicates",
+)
+
+
+@functools.cache
+def _operator_code_fingerprint():
+    """SHA-256 over the source of every operator-behaviour module.
+
+    Module source is fixed once imported, so this is hashed once per
+    process; the fingerprints that fold it in are memoized per registry
+    generation.
+    """
+    package = importlib.import_module("repro.gswfit.operators")
+    names = [package.__name__]
+    names.extend(sorted(
+        f"{package.__name__}.{info.name}"
+        for info in pkgutil.iter_modules(package.__path__)
+    ))
+    names.extend(OPERATOR_CODE_MODULES)
+    hasher = hashlib.sha256()
+    for name in names:
+        hasher.update(name.encode("utf-8"))
+        hasher.update(
+            inspect.getsource(importlib.import_module(name)).encode("utf-8")
+        )
+    return hasher.hexdigest()
+
 
 def library_fingerprint(build):
     """Hash of everything a scan's output depends on, for one build.
@@ -72,15 +116,16 @@ def library_fingerprint(build):
     Covers the behaviour of the full operator library (search patterns
     and preconditions shape the emitted sites; class operators
     fingerprint their source, spec-compiled operators their canonical
-    spec JSON) and the source of the build's FIT modules (the code being
-    scanned).  The memo key includes the operator registry generation,
-    so installing or replacing a DSL operator invalidates it.
+    spec JSON, and both the operator-behaviour modules they call) and
+    the source of the build's FIT modules (the code being scanned).
+    The memo key includes the operator registry generation, so
+    installing or replacing a DSL operator invalidates it.
     """
     memo_key = (build.codename, registry_generation())
     cached = _fingerprint_cache.get(memo_key)
     if cached is not None:
         return cached
-    hasher = hashlib.sha256()
+    hasher = hashlib.sha256(_operator_code_fingerprint().encode("ascii"))
     library = operator_library()
     for fault_type in sorted(library, key=lambda ft: ft.value):
         hasher.update(fault_type.value.encode("utf-8"))
@@ -192,9 +237,9 @@ def _operator_fingerprint(fault_type):
     cached = _operator_fp_memo.get(memo_key)
     if cached is None:
         operator = operator_for(fault_type)
-        cached = hashlib.sha256(
-            operator.fingerprint_payload().encode("utf-8")
-        ).hexdigest()
+        hasher = hashlib.sha256(_operator_code_fingerprint().encode("ascii"))
+        hasher.update(operator.fingerprint_payload().encode("utf-8"))
+        cached = hasher.hexdigest()
         _operator_fp_memo[memo_key] = cached
     return cached
 

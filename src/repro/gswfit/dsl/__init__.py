@@ -5,11 +5,12 @@ mutation operator as *pattern* (AST node types to anchor on) +
 *preconditions* (a composable predicate vocabulary over the
 :class:`~repro.gswfit.astutils.FunctionImage` index) + *mutation rule*
 (an AST edit template), and :func:`~repro.gswfit.dsl.compile.compile_spec`
-turns it into a first-class scanner operator.  Specs either re-express
-a built-in Table 1 operator (``"replaces": true`` — same fault type,
-same fault ids, digest-identical campaigns) or define a brand-new
-fault type that rides every downstream pipeline: faultloads, sampling,
-sharding, caching, reports.
+turns it into a first-class scanner operator.  Eight of the Table 1
+built-ins are themselves specs (:mod:`repro.gswfit.dsl.builtin_specs`).
+A user spec either replaces a built-in operator (``"replaces": true``
+— same fault type, same fault ids) or defines a brand-new fault type
+that rides every downstream pipeline: faultloads, sampling, sharding,
+caching, reports.
 
 :func:`install_spec_operators` is the one entry point the harness
 uses — the CLI, the campaign parent, and every worker process call it
@@ -38,12 +39,13 @@ def install_spec_operators(specs):
     """Compile and register operators for ``specs``; returns them.
 
     ``specs`` is an iterable of spec dicts (raw or canonical) or
-    :class:`OperatorSpec` instances.  Re-expressions replace their
-    built-in operator in the library; new fault types are registered
-    with the fault-type registry first, then overlaid on the library.
-    Installing a spec whose digest is already live is a no-op, so the
-    campaign parent, pool workers, and fabric workers can all install
-    the same config unconditionally.
+    :class:`OperatorSpec` instances.  ``"replaces": true`` specs
+    replace their built-in operator in the library; new fault types
+    are registered with the fault-type registry first, then overlaid
+    on the library.  Installing a spec whose digest is already live is
+    a no-op — the in-tree built-in specs always are — so the campaign
+    parent, pool workers, and fabric workers can all install the same
+    config unconditionally.
     """
     installed = []
     library = operator_library()

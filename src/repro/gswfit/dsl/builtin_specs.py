@@ -1,13 +1,15 @@
-"""DSL re-expressions of the built-in Table 1 operators.
+"""The eight Table 1 built-in operators that are defined as specs.
 
-Eight of the twelve built-in operator classes restated as declarative
-specs — the fidelity corpus.  The equivalence tests assert that each
-compiles to the same site set (keys, payloads, descriptions, line
-numbers) and byte-identical mutant bytecode as its class twin on both
-OS builds, and the ``dsl-gate`` CI job runs a campaign with them and
-``cmp``-s the ``metrics_digest`` against a built-in run.
+MVI, MVAV, MVAE, MIA, MLAC, MFC, MIFS and WVAV have no class: the
+operator library (:mod:`repro.gswfit.operators`) compiles these specs
+on first use and places them in Table 1 order.  Their sites and
+mutants are pinned by the golden corpus test
+(``tests/gswfit/test_operator_golden.py``), frozen from the classes
+they replaced, and the ``dsl-gate`` CI job runs a campaign with them
+passed again as ``--operator-spec`` files (a no-op install) and
+``cmp``-s the ``metrics_digest`` against a default run.
 
-The remaining four (MLPC, WLEC, WAEP, WPFV) stay class-only: MLPC scans
+The remaining four (MLPC, WLEC, WAEP, WPFV) stay classes: MLPC scans
 statement *blocks* for maximal runs and WLEC/WAEP/WPFV walk sub-trees
 with seen-sets or name tables — search logic beyond what a declarative
 pattern + predicate list can state, and deliberately out of the DSL's
@@ -143,7 +145,7 @@ BUILTIN_SPECS = {
 
 
 def builtin_spec_names():
-    """The fault types re-expressed as specs, in Table 1 order."""
+    """The built-in fault types defined as specs, in Table 1 order."""
     return list(BUILTIN_SPECS)
 
 
@@ -153,7 +155,7 @@ def builtin_spec(name):
 
 
 def write_builtin_specs(directory):
-    """Write each re-expression to ``directory`` as ``<name>.json``.
+    """Write each built-in spec to ``directory`` as ``<name>.json``.
 
     Returns the written paths — the ``dsl-gate`` CI job uses this to
     materialize spec files for ``--operator-spec`` without keeping a

@@ -21,10 +21,15 @@ impossible for a validated spec.
 import ast
 
 from repro.gswfit.dsl.predicates import Param
-from repro.gswfit.operators.assignment import perturb_constant
 from repro.gswfit.operators.base import replace_statement
 
-__all__ = ["MUTATIONS", "MutationRule", "build_mutation", "resolve_field"]
+__all__ = [
+    "MUTATIONS",
+    "MutationRule",
+    "build_mutation",
+    "perturb_constant",
+    "resolve_field",
+]
 
 _BOOL_OP_NAMES = {ast.And: "and", ast.Or: "or"}
 
@@ -53,6 +58,21 @@ def resolve_field(node, path):
         if target is None:
             return None
     return target
+
+
+def perturb_constant(value):
+    """The replacement WVAV writes for ``value`` (deterministic)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2.0 + 1.0
+    if isinstance(value, str):
+        if len(value) > 1:
+            return value[:-1]
+        return value + "x"
+    raise TypeError(f"not a perturbable constant: {value!r}")
 
 
 def _perturbable(value):

@@ -27,7 +27,6 @@ from repro.gswfit.astutils import (
     is_simple_constant_assign,
     node_contains,
 )
-from repro.gswfit.operators.assignment import _is_interesting_constant
 
 __all__ = ["PREDICATES", "Param", "Predicate", "build_predicate"]
 
@@ -112,6 +111,24 @@ class _NameReadLater(Predicate):
         if not targets or not isinstance(targets[0], ast.Name):
             return False
         return targets[0].id in suffix[position + 1]
+
+
+def _is_interesting_constant(value):
+    """Constants WVAV perturbs: flags, non-zero numbers, non-empty text.
+
+    Zero/None/empty initializations are excluded — at machine level those
+    are register-clearing idioms, not immediate-operand stores, so the
+    original operator never matches them.
+    """
+    if isinstance(value, bool):
+        return True
+    if isinstance(value, int):
+        return value != 0
+    if isinstance(value, float):
+        return value != 0.0
+    if isinstance(value, str):
+        return len(value) > 0
+    return False
 
 
 class _InterestingConstant(Predicate):

@@ -8,14 +8,22 @@ preconditions that keep the emulation representative (e.g. MIFS never
 removes an ``if`` whose body returns, MVI only removes initializations of
 variables that are used later).
 
+Eight of the twelve (MVI, MVAV, MVAE, MIA, MLAC, MFC, MIFS, WVAV) are
+declarative specs compiled by the operator DSL
+(:mod:`repro.gswfit.dsl.builtin_specs`, DESIGN.md §16); the other four
+(MLPC, WLEC, WAEP, WPFV) are the classes in this package.  The library
+is assembled on first use, in Table 1 order, because the DSL compiler
+itself builds on :mod:`repro.gswfit.operators.base`.
+
 The library is extensible at runtime: :func:`register_operator` overlays
-dynamic operators — compiled from declarative specs (DESIGN.md §16) —
-on top of the Table 1 classes, either *replacing* a built-in (a DSL
-re-expression keeps its fault type, fault ids and digests) or *adding*
-a new dynamic fault type.  :func:`registry_generation` is a counter the
-cache layer folds into its memo keys so fingerprints never go stale
-across registrations.
+dynamic operators — compiled from user specs — on top of the built-ins,
+either *replacing* a built-in (same fault type, same fault ids) or
+*adding* a new dynamic fault type.  :func:`registry_generation` is a
+counter the cache layer folds into its memo keys so fingerprints never
+go stale across registrations.
 """
+
+import functools
 
 from repro.faults.types import FaultType, lookup_fault_type
 from repro.gswfit.operators.base import (
@@ -23,22 +31,8 @@ from repro.gswfit.operators.base import (
     Site,
     collect_sites,
 )
-from repro.gswfit.operators.assignment import (
-    MissingVariableInitialization,
-    MissingAssignmentWithValue,
-    MissingAssignmentWithExpression,
-    WrongValueAssigned,
-)
-from repro.gswfit.operators.checking import (
-    MissingIfAroundStatements,
-    MissingAndClause,
-    WrongLogicalExpression,
-)
-from repro.gswfit.operators.algorithm import (
-    MissingFunctionCall,
-    MissingIfPlusStatements,
-    MissingLocalPartOfAlgorithm,
-)
+from repro.gswfit.operators.checking import WrongLogicalExpression
+from repro.gswfit.operators.algorithm import MissingLocalPartOfAlgorithm
 from repro.gswfit.operators.interface import (
     WrongArithmeticExpressionInParameter,
     WrongVariableInParameter,
@@ -57,26 +51,38 @@ __all__ = [
     "unregister_operator",
 ]
 
-_LIBRARY = {
-    FaultType.MVI: MissingVariableInitialization(),
-    FaultType.MVAV: MissingAssignmentWithValue(),
-    FaultType.MVAE: MissingAssignmentWithExpression(),
-    FaultType.MIA: MissingIfAroundStatements(),
-    FaultType.MLAC: MissingAndClause(),
-    FaultType.MFC: MissingFunctionCall(),
-    FaultType.MIFS: MissingIfPlusStatements(),
-    FaultType.MLPC: MissingLocalPartOfAlgorithm(),
-    FaultType.WVAV: WrongValueAssigned(),
-    FaultType.WLEC: WrongLogicalExpression(),
-    FaultType.WAEP: WrongArithmeticExpressionInParameter(),
-    FaultType.WPFV: WrongVariableInParameter(),
+_CLASS_OPERATORS = {
+    FaultType.MLPC: MissingLocalPartOfAlgorithm,
+    FaultType.WLEC: WrongLogicalExpression,
+    FaultType.WAEP: WrongArithmeticExpressionInParameter,
+    FaultType.WPFV: WrongVariableInParameter,
 }
 
 
-#: Dynamic overlay: spec-compiled operators, keyed by fault type.  A key
-#: also present in ``_LIBRARY`` is a re-expression of that built-in; a
-#: key absent from it is a new dynamic fault type (appended after the
-#: Table 1 twelve in library order).
+@functools.cache
+def _builtin_library():
+    """The twelve Table 1 operators, keyed by fault type, in Table 1 order.
+
+    Location order (and with it sampling and every digest) follows this
+    order.  Assembled lazily: the DSL compiler imports this package.
+    """
+    from repro.gswfit.dsl.builtin_specs import BUILTIN_SPECS
+    from repro.gswfit.dsl.compile import compile_spec
+
+    return {
+        fault_type: (
+            compile_spec(BUILTIN_SPECS[fault_type.value])
+            if fault_type.value in BUILTIN_SPECS
+            else _CLASS_OPERATORS[fault_type]()
+        )
+        for fault_type in FaultType
+    }
+
+
+#: Dynamic overlay: operators compiled from user specs, keyed by fault
+#: type.  A key that is also a Table 1 type replaces that built-in; any
+#: other key is a new dynamic fault type (appended after the Table 1
+#: twelve in library order).
 _DYNAMIC = {}
 
 #: Bumped on every overlay change; cache memo keys include it.
@@ -91,10 +97,10 @@ def registry_generation():
 def operator_library():
     """The full operator library, keyed by fault type.
 
-    Table 1 order first (built-ins, with any DSL re-expression applied
+    Table 1 order first (built-ins, with any user replacement applied
     in place), then dynamic fault types in registration order.
     """
-    library = dict(_LIBRARY)
+    library = dict(_builtin_library())
     library.update(_DYNAMIC)
     return library
 
@@ -105,16 +111,16 @@ def operator_for(fault_type):
         fault_type = lookup_fault_type(fault_type)
     if fault_type in _DYNAMIC:
         return _DYNAMIC[fault_type]
-    return _LIBRARY[fault_type]
+    return _builtin_library()[fault_type]
 
 
 def operator_provenance(fault_type):
-    """``"builtin"`` or ``"dsl"`` for the operator behind ``fault_type``."""
+    """``"builtin"``, or ``"dsl"`` for an operator from a user spec."""
     try:
-        operator = operator_for(fault_type)
+        fault_type = operator_for(fault_type).fault_type
     except (KeyError, ValueError):
         return "unknown"
-    return getattr(operator, "provenance", "builtin")
+    return "dsl" if fault_type in _DYNAMIC else "builtin"
 
 
 def register_operator(operator, replace=False):
@@ -128,7 +134,7 @@ def register_operator(operator, replace=False):
     """
     global _generation
     fault_type = operator.fault_type
-    if fault_type in _LIBRARY and not replace:
+    if fault_type in _builtin_library() and not replace:
         raise ValueError(
             f"operator for {fault_type.value} would shadow the built-in "
             "Table 1 operator; pass replace=True (spec: \"replaces\": "

@@ -1,4 +1,4 @@
-"""Algorithm-class operators: MFC, MIFS, MLPC."""
+"""Algorithm-class operator: MLPC."""
 
 import ast
 
@@ -8,83 +8,11 @@ from repro.gswfit.operators.base import (
     MutationOperator,
     Site,
     remove_statements,
-    replace_statement,
 )
 
-__all__ = [
-    "MissingFunctionCall",
-    "MissingIfPlusStatements",
-    "MissingLocalPartOfAlgorithm",
-]
+__all__ = ["MissingLocalPartOfAlgorithm"]
 
 MLPC_MAX_REMOVED = 3
-
-
-def _is_call_statement(stmt):
-    return isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
-
-
-class MissingFunctionCall(MutationOperator):
-    """MFC: remove a statement-level function call.
-
-    Search pattern: ``f(...)`` used as a statement (return value unused —
-    the G-SWFIT precondition, since a used return value would make this a
-    different fault type).  Simulation-accounting calls (``ctx.charge``)
-    are excluded: they are instrumentation, not emulated OS logic.
-    """
-
-    fault_type = FaultType.MFC
-    node_types = (ast.Expr,)
-
-    def visit_node(self, image, node, state):
-        if not isinstance(node.value, ast.Call):
-            return ()
-        if is_infra_call(node.value):
-            return ()
-        call_text = ast.unparse(node.value)
-        return [Site(
-            node_index=image.index_of(node),
-            description=f"remove call '{call_text}'",
-            lineno=image.absolute_lineno(node),
-        )]
-
-    def apply(self, tree, node_list, site):
-        replace_statement(tree, node_list[site.node_index], [])
-
-
-class MissingIfPlusStatements(MutationOperator):
-    """MIFS: remove an ``if`` together with its guarded statements.
-
-    Search pattern: an ``if`` with no else arm whose body is small (1 to 5
-    statements, per the original operator's constraint) and contains no
-    control-flow transfer — removing a returning guard is MIA territory,
-    and counting it twice would skew the faultload mix.
-    """
-
-    fault_type = FaultType.MIFS
-    node_types = (ast.If,)
-
-    MAX_BODY = 5
-
-    def visit_node(self, image, node, state):
-        if node.orelse:
-            return ()
-        if not 1 <= len(node.body) <= self.MAX_BODY:
-            return ()
-        if image.subtree_has_transfer(node):
-            return ()
-        condition = ast.unparse(node.test)
-        return [Site(
-            node_index=image.index_of(node),
-            description=(
-                f"remove 'if {condition}:' and its "
-                f"{len(node.body)} statement(s)"
-            ),
-            lineno=image.absolute_lineno(node),
-        )]
-
-    def apply(self, tree, node_list, site):
-        replace_statement(tree, node_list[site.node_index], [])
 
 
 _SIMPLE_STATEMENTS = (ast.Assign, ast.AugAssign, ast.Expr)

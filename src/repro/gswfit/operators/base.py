@@ -83,9 +83,6 @@ class MutationOperator:
     #: When True, :meth:`visit_block` receives every statement list of
     #: the function (bodies, else/finally arms) in walk order.
     scans_blocks = False
-    #: Where the operator came from: ``"builtin"`` for the Table 1
-    #: classes, ``"dsl"`` for operators compiled from declarative specs.
-    provenance = "builtin"
 
     def begin_scan(self, image):
         """Per-function precomputation; its result is passed to visits."""
@@ -140,6 +137,8 @@ class MutationOperator:
         operator invalidates scan and mutant caches.  Spec-compiled
         operators override this with the canonical spec JSON — many
         share one class, so class source alone would under-key them.
+        The cache layer adds the source of the modules both kinds call
+        (:data:`repro.gswfit.cache.OPERATOR_CODE_MODULES`).
         """
         return inspect.getsource(type(self))
 

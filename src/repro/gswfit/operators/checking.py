@@ -1,83 +1,11 @@
-"""Checking-class operators: MIA, MLAC, WLEC."""
+"""Checking-class operator: WLEC."""
 
 import ast
 
 from repro.faults.types import FaultType
-from repro.gswfit.operators.base import (
-    MutationOperator,
-    Site,
-    replace_statement,
-)
+from repro.gswfit.operators.base import MutationOperator, Site
 
-__all__ = [
-    "MissingIfAroundStatements",
-    "MissingAndClause",
-    "WrongLogicalExpression",
-]
-
-
-class MissingIfAroundStatements(MutationOperator):
-    """MIA: drop the condition, keep the guarded statements.
-
-    Search pattern: an ``if`` with no else arm.  The mutant executes the
-    body unconditionally — the programmer forgot the check.  For the
-    pervasive ``if bad: return error`` validation idiom this produces a
-    function that always fails, one of the loudest fault modes in the
-    paper's experiments.
-    """
-
-    fault_type = FaultType.MIA
-    node_types = (ast.If,)
-
-    def visit_node(self, image, node, state):
-        if node.orelse or not node.body:
-            return ()
-        condition = ast.unparse(node.test)
-        return [Site(
-            node_index=image.index_of(node),
-            description=f"remove condition 'if {condition}:' (keep body)",
-            lineno=image.absolute_lineno(node),
-        )]
-
-    def apply(self, tree, node_list, site):
-        node = node_list[site.node_index]
-        replace_statement(tree, node, node.body)
-
-
-class MissingAndClause(MutationOperator):
-    """MLAC: remove one operand from an ``and`` branch condition.
-
-    Search pattern: an ``if`` whose test is a top-level ``and`` chain; one
-    site per removable operand.  The mutant checks less than it should —
-    a missing guard clause.
-    """
-
-    fault_type = FaultType.MLAC
-    node_types = (ast.If,)
-
-    def visit_node(self, image, node, state):
-        test = node.test
-        if not (isinstance(test, ast.BoolOp)
-                and isinstance(test.op, ast.And)):
-            return ()
-        sites = []
-        for position, operand in enumerate(test.values):
-            clause = ast.unparse(operand)
-            sites.append(Site(
-                node_index=image.index_of(node),
-                payload=str(position),
-                description=f"remove 'and {clause}' from branch condition",
-                lineno=image.absolute_lineno(node),
-            ))
-        return sites
-
-    def apply(self, tree, node_list, site):
-        node = node_list[site.node_index]
-        position = int(site.payload)
-        values = node.test.values
-        del values[position]
-        if len(values) == 1:
-            node.test = values[0]
+__all__ = ["WrongLogicalExpression"]
 
 
 _SWAP = {

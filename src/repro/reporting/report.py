@@ -22,9 +22,10 @@ __all__ = [
 def table1_fault_types():
     """Table 1: fault types, descriptions, field coverage, ODC types.
 
-    A Provenance column records whether each type's operator is a
-    built-in Table 1 class or a DSL spec (a re-expression or a new
-    dynamic fault type) — dynamic types appear after the twelve.
+    A Provenance column records whether each type's operator is built
+    in (a class or an in-tree spec) or comes from a user spec (``dsl``:
+    a replacement or a new dynamic fault type) — dynamic types appear
+    after the twelve.
     """
     from repro.gswfit.operators import operator_provenance
 

@@ -201,6 +201,34 @@ def test_new_fault_type_registers_end_to_end(build, dsl_registry):
     assert restored.fault_type is token
 
 
+def test_provenance_is_dsl_only_for_user_specs(tmp_path, dsl_registry):
+    """All twelve Table 1 types report ``builtin`` (eight of them are
+    in-tree specs); a type added by a user spec reports ``dsl`` in
+    Table 1 and in ``faultload_summary.json``."""
+    from repro.gswfit.scanner import scan_build
+    from repro.ossim.builds import NT50
+    from repro.reporting.export import export_faultload_summary
+    from repro.reporting.report import table1_fault_types
+
+    def provenance_column():
+        table = table1_fault_types()
+        return {row[0]: row[-1] for row in table.rows if row[0]}
+
+    assert set(provenance_column().values()) == {"builtin"}
+    install_spec_operators([_new_type_spec()])
+    column = provenance_column()
+    assert column.pop("WBOC") == "dsl"
+    assert len(column) == 12
+    assert set(column.values()) == {"builtin"}
+    export_faultload_summary(scan_build(NT50), tmp_path)
+    summary = json.loads(
+        (tmp_path / "faultload_summary.json").read_text(encoding="utf-8")
+    )
+    provenance = summary["operator_provenance"]
+    assert provenance.pop("WBOC") == "dsl"
+    assert set(provenance.values()) == {"builtin"}
+
+
 def test_install_is_idempotent_by_digest(dsl_registry):
     first = install_spec_operators([_new_type_spec()])
     second = install_spec_operators([_new_type_spec()])
