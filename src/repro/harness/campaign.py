@@ -56,6 +56,7 @@ from repro.gswfit.cache import (
 )
 from repro.harness.experiment import WebServerExperiment, profile_servers
 from repro.harness.jsonl import read_jsonl
+from repro.harness.machine import reclaim_retired_machines
 from repro.harness.results import (
     BenchmarkResult,
     InjectionIteration,
@@ -258,13 +259,16 @@ def run_shard(config, iteration, shard, mutant_cache_dir=None):
         mutant_cache_dir=mutant_cache_dir,
         first_slot=shard.first_slot,
     )
-    return ShardOutcome(
+    outcome = ShardOutcome(
         shard_index=shard.index,
         first_slot=shard.first_slot,
         num_slots=len(shard.locations),
         partial=run.compute_partial(config.conformance_slots),
         **merge([run]),
     )
+    del run  # its segments hold the shard's retired machines
+    reclaim_retired_machines()
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +611,7 @@ class ParallelCampaign:
         telemetry.emit("phase_start", phase=phase)
         started = time.perf_counter()
         metrics = runner()
+        reclaim_retired_machines()
         timings[phase] = round(time.perf_counter() - started, 6)
         telemetry.emit("phase_end", phase=phase,
                        seconds=timings[phase])

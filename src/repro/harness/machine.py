@@ -7,6 +7,8 @@ runtime, and the client-side transport wired up.  The benchmark target is
 the web server; the fault injection target is the OS the machine booted.
 """
 
+import gc
+
 from repro.ossim.builds import get_build
 from repro.ossim.context import SimKernel
 from repro.ossim.dispatch import OsInstance
@@ -16,10 +18,27 @@ from repro.specweb.fileset import SpecWebFileset
 from repro.webservers.registry import create_server
 from repro.webservers.runtime import ServerRuntime
 
-__all__ = ["ServerMachine"]
+__all__ = ["ServerMachine", "reclaim_retired_machines"]
 
 _CONFIG_FILE_BYTES = 1536
 _MIME_FILE_BYTES = 840
+
+
+def reclaim_retired_machines():
+    """Free the machines nothing references any more; call it once the
+    caller has dropped its last reference to a finished run.
+
+    A machine is one large reference cycle (simulator, kernel, server
+    runtime and client all point at each other), so reference counting
+    never frees it and only a full collection does.  Left to the
+    collector's own schedule, whose full passes are rare once the
+    process holds large long-lived caches, several retired machines pile
+    up before one runs, and the process's peak memory depends on where
+    that pass happens to fall.  Reclaiming at each phase and shard
+    boundary bounds the dead machines held to the ones a single run
+    retired, at the cost of one full pass per run.
+    """
+    gc.collect()
 
 
 class ServerMachine:

@@ -5,6 +5,7 @@ function of (config, seed, faultload) — never of the worker count or of
 which units a resumed run replays from the journal.
 """
 
+import gc
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.harness.campaign import (
 )
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
+from repro.harness.machine import ServerMachine
 from repro.specweb.metrics import MetricsPartial
 
 
@@ -167,6 +169,25 @@ def test_campaign_merge_matches_manual_shard_runs():
         include_baseline=False, include_profile_mode=False
     )
     iterations_equal(result.iterations[0], manual)
+
+
+def test_run_shard_reclaims_its_retired_machines():
+    # A machine is a reference cycle: with the collector's own schedule
+    # switched off, only run_shard's explicit reclaim can free it.
+    config = tiny_config(iterations=1)
+    campaign = ParallelCampaign(config, workers=1)
+    shard = plan_shards(campaign.prepared_faultload(),
+                        campaign.slots_per_shard)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        run_shard(config, 1, shard)
+        alive = sum(
+            isinstance(obj, ServerMachine) for obj in gc.get_objects()
+        )
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 # ----------------------------------------------------------------------
